@@ -59,7 +59,9 @@ def evaluate_detection(stages: int, slots_per_stage: int,
 
     Each trial replays an independent synthetic trace through a fresh
     cache, polling/resetting it at every round-interval boundary and
-    comparing the detected ⊤ set against ground truth.
+    comparing the detected ⊤ set against ground truth.  Traces are
+    built once per process and shared by every call that replays them
+    (see :mod:`.traces`).
 
     ``zipf_alpha`` defaults to 0.75 here (flatter than the general
     trace default): at high skew the maximal flow claims its cache slot
@@ -92,14 +94,14 @@ def evaluate_detection(stages: int, slots_per_stage: int,
             result.false_positives += len(detected - actual)
             result.false_negatives += len(actual - detected)
 
-        for packet in trace.packets():
-            while packet.time_ns >= boundary_ns:
+        update = cache.update
+        for time_ns, flow, size in trace.rows():
+            while time_ns >= boundary_ns:
                 close_interval()
                 truth.clear()
                 boundary_ns += interval_ns
-            cache.update(packet.flow, packet.size_bytes)
-            truth[packet.flow] = truth.get(packet.flow, 0) + \
-                packet.size_bytes
+            update(flow, size)
+            truth[flow] = truth.get(flow, 0) + size
         if truth:
             close_interval()
     return result

@@ -36,10 +36,23 @@ K = TypeVar("K", bound=Hashable)
 CacheTrace = Callable[[str, K, int, int], None]
 
 
+def key_bytes(key: Hashable) -> bytes:
+    """The bytes every stage hash of ``key`` digests.
+
+    Encode a key once per packet and hash the result per stage with
+    :func:`salted_hash`.
+    """
+    return repr(key).encode("utf-8")
+
+
+def salted_hash(data: bytes, salt: int) -> int:
+    """The stage hash of already-encoded key bytes (see ``key_bytes``)."""
+    return zlib.crc32(data, salt & 0xFFFFFFFF)
+
+
 def stage_hash(key: Hashable, salt: int) -> int:
     """A deterministic per-stage hash of an arbitrary flow key."""
-    data = repr(key).encode("utf-8")
-    return zlib.crc32(data, salt & 0xFFFFFFFF)
+    return salted_hash(key_bytes(key), salt)
 
 
 class CebinaeFlowCache(Generic[K]):
@@ -55,21 +68,24 @@ class CebinaeFlowCache(Generic[K]):
         self.slots_per_stage = slots_per_stage
         self._salts = [seed * 0x9E3779B1 + s * 0x85EBCA77
                        for s in range(stages)]
-        self._keys: List[List[Optional[K]]] = [
-            [None] * slots_per_stage for _ in range(stages)]
-        self._counts: List[List[int]] = [
-            [0] * slots_per_stage for _ in range(stages)]
-        self.uncounted_packets = 0
-        self.uncounted_bytes = 0
+        self._clear()
         #: Observability hook (installed by the queue disc; None = off).
         self.trace: Optional[CacheTrace[K]] = None
+
+    def _clear(self) -> None:
+        self._keys: List[List[Optional[K]]] = [
+            [None] * self.slots_per_stage for _ in range(self.stages)]
+        self._counts: List[List[int]] = [
+            [0] * self.slots_per_stage for _ in range(self.stages)]
+        self.uncounted_packets = 0
+        self.uncounted_bytes = 0
 
     def update(self, key: K, nbytes: int) -> bool:
         """Account ``nbytes`` for ``key``.  False if no slot was free."""
         trace = self.trace
-        for stage in range(self.stages):
-            index = stage_hash(key, self._salts[stage]) % \
-                self.slots_per_stage
+        data = key_bytes(key)
+        for stage, salt in enumerate(self._salts):
+            index = salted_hash(data, salt) % self.slots_per_stage
             occupant = self._keys[stage][index]
             if occupant is None:
                 self._keys[stage][index] = key
@@ -90,9 +106,9 @@ class CebinaeFlowCache(Generic[K]):
 
     def lookup(self, key: K) -> int:
         """The bytes currently recorded for ``key`` (0 if untracked)."""
-        for stage in range(self.stages):
-            index = stage_hash(key, self._salts[stage]) % \
-                self.slots_per_stage
+        data = key_bytes(key)
+        for stage, salt in enumerate(self._salts):
+            index = salted_hash(data, salt) % self.slots_per_stage
             if self._keys[stage][index] == key:
                 return self._counts[stage][index]
         return 0
@@ -114,12 +130,7 @@ class CebinaeFlowCache(Generic[K]):
         chance to claim a slot next interval).
         """
         result = self.snapshot()
-        for stage in range(self.stages):
-            for index in range(self.slots_per_stage):
-                self._keys[stage][index] = None
-                self._counts[stage][index] = 0
-        self.uncounted_packets = 0
-        self.uncounted_bytes = 0
+        self._clear()
         return result
 
     @property

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Hashable, List, Optional
 
 from ..analysis.invariants import unwrap
-from .hashpipe import stage_hash
+from .hashpipe import key_bytes, salted_hash
 
 
 class CountMinSketch:
@@ -28,12 +28,12 @@ class CountMinSketch:
         self.columns = columns
         self._salts = [seed * 0x9E3779B1 + row * 0xC2B2AE35
                        for row in range(rows)]
-        self._counts: List[List[int]] = [[0] * columns
-                                         for _ in range(rows)]
+        self.reset()
         self.updates = 0
 
     def _indexes(self, key: Hashable) -> List[int]:
-        return [stage_hash(key, salt) % self.columns
+        data = key_bytes(key)
+        return [salted_hash(data, salt) % self.columns
                 for salt in self._salts]
 
     def update(self, key: Hashable, amount: int) -> int:
@@ -53,9 +53,8 @@ class CountMinSketch:
                    for row, index in enumerate(self._indexes(key)))
 
     def reset(self) -> None:
-        for row in self._counts:
-            for index in range(self.columns):
-                row[index] = 0
+        self._counts: List[List[int]] = [[0] * self.columns
+                                         for _ in range(self.rows)]
 
     @property
     def total_added(self) -> int:

@@ -1,13 +1,16 @@
 """Tests for the passive flow cache, trace generator, and FPR/FNR
 evaluation."""
 
+import heapq
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.heavyhitter.evaluation import evaluate_detection
 from repro.heavyhitter.hashpipe import (CebinaeFlowCache, ExactFlowCache,
                                         select_bottlenecked, stage_hash)
-from repro.heavyhitter.traces import SyntheticTrace
+from repro.heavyhitter.traces import MEMO_SIZE, SyntheticTrace
 
 
 class TestStageHash:
@@ -17,6 +20,19 @@ class TestStageHash:
     def test_salt_changes_hash(self):
         key = ("flow", 42)
         assert stage_hash(key, 1) != stage_hash(key, 2)
+
+    def test_cache_places_keys_by_stage_hash(self):
+        salt, slots = 0x9E3779B1, 64  # Stage 0 of a seed-1 cache.
+        keys = [f"flow{index}" for index in range(200)]
+        slot = {key: stage_hash(key, salt) % slots for key in keys}
+        first = keys[0]
+        rival = next(key for key in keys[1:] if slot[key] == slot[first])
+        other = next(key for key in keys if slot[key] != slot[first])
+        cache = CebinaeFlowCache(stages=1, slots_per_stage=slots, seed=1)
+        assert cache.update(first, 100)
+        assert not cache.update(rival, 100)
+        assert cache.update(other, 100)
+        assert cache.lookup(first) == cache.lookup(other) == 100
 
 
 class TestCacheCounting:
@@ -177,6 +193,106 @@ class TestSyntheticTrace:
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
             SyntheticTrace(duration_s=0)
+
+
+def reference_trace(duration_s, flows_per_minute, seed, zipf_alpha=1.1,
+                    link_rate_bps=10e9, mean_packet_bytes=700):
+    """The original scalar generator: flow rates, then one packet at a
+    time from a heap merge with one exponential draw per flow."""
+    num_flows = max(1, int(flows_per_minute * max(duration_s, 60.0)
+                           / 60.0))
+    weights = np.arange(1, num_flows + 1, dtype=np.float64) \
+        ** (-zipf_alpha)
+    np.random.default_rng(seed).shuffle(weights)
+    weights /= weights.sum()
+    rates = weights * (0.8 * link_rate_bps)
+    rng = np.random.default_rng(seed + 1)
+    heap = []
+    packet_interval_ns = np.empty(num_flows)
+    for flow in range(num_flows):
+        pkt_per_sec = max(rates[flow] / (8.0 * mean_packet_bytes), 1e-9)
+        packet_interval_ns[flow] = 1e9 / pkt_per_sec
+        first = rng.exponential(packet_interval_ns[flow])
+        if first < duration_s * 1e9:
+            heap.append((int(first), flow))
+    heapq.heapify(heap)
+    horizon_ns = int(duration_s * 1e9)
+    packets = []
+    while heap:
+        time_ns, flow = heapq.heappop(heap)
+        size = int(rng.gamma(4.0, mean_packet_bytes / 4.0))
+        packets.append((time_ns, flow, min(max(size, 64), 1500)))
+        nxt = time_ns + int(rng.exponential(packet_interval_ns[flow]))
+        if nxt < horizon_ns:
+            heapq.heappush(heap, (nxt, flow))
+    return rates, packets
+
+
+class TestTraceBuild:
+    # 200k flows spans several first-arrival chunks.
+    @pytest.mark.parametrize("flows,seed", [(60_000, 1), (60_000, 2),
+                                            (200_000, 3)])
+    def test_bit_identical_to_scalar_generator(self, flows, seed):
+        rates, packets = reference_trace(0.01, flows, seed)
+        trace = SyntheticTrace(duration_s=0.01, flows_per_minute=flows,
+                               seed=seed)
+        assert np.array_equal(trace.flow_rates_bps, rates)
+        columns = trace.columns()
+        for index, column in enumerate(columns):
+            assert column.dtype == np.int64
+            assert column.tolist() == [packet[index]
+                                       for packet in packets]
+        assert [(p.time_ns, p.flow, p.size_bytes)
+                for p in trace.packets()] == packets
+        # The flow cache hashes repr(flow): replays must yield ints.
+        assert all(type(value) is int for value in next(trace.rows()))
+
+    def test_pinned_detection_result(self):
+        result = evaluate_detection(2, 2048, 10, trials=1,
+                                    trace_duration_s=0.05,
+                                    flows_per_minute=400_000,
+                                    zipf_alpha=0.75, seed=1)
+        assert (result.true_positives, result.false_positives,
+                result.false_negatives, result.intervals,
+                result.candidate_flows) == (5, 0, 0, 5, 58143)
+
+
+def tiny_trace(seed):
+    return SyntheticTrace(duration_s=0.001, flows_per_minute=600,
+                          seed=seed)
+
+
+class TestTraceMemo:
+    def test_equal_parameters_share_one_build(self):
+        first = tiny_trace(101)
+        assert tiny_trace(101).columns() is first.columns()
+        assert tiny_trace(101).flow_rates_bps is first.flow_rates_bps
+        other = tiny_trace(102)
+        assert other.columns() is not first.columns()
+        assert other.flow_rates_bps is not first.flow_rates_bps
+
+    def test_shared_arrays_are_read_only(self):
+        trace = tiny_trace(103)
+        for array in (*trace.columns(), trace.flow_rates_bps):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert tiny_trace(103).columns().size_bytes[0] >= 64
+
+    def test_lru_evicts_at_fixed_size(self):
+        columns = tiny_trace(200).columns()
+        for seed in range(201, 200 + MEMO_SIZE):
+            tiny_trace(seed)
+        # A full memo still holds it, and the hit makes it most recent.
+        assert tiny_trace(200).columns() is columns
+        for seed in range(300, 300 + MEMO_SIZE - 1):
+            tiny_trace(seed)
+        assert tiny_trace(200).columns() is columns
+        for seed in range(400, 400 + MEMO_SIZE):
+            tiny_trace(seed)
+        rebuilt = tiny_trace(200).columns()
+        assert rebuilt is not columns
+        for old, new in zip(columns, rebuilt):
+            assert np.array_equal(old, new)
 
 
 class TestDetectionEvaluation:
