@@ -16,8 +16,8 @@ up the repo's determinism contract:
   (stable SHA-256 seed derivation, never Python's randomised ``hash``),
   schedules fault events through the simulation engine in integer
   nanoseconds, and keeps a deterministic timeline for reporting.  Two
-  runs with the same spec are byte-identical, on either scheduler
-  backend, with debug validation on or off.
+  runs with the same spec are byte-identical, with debug validation
+  on or off.
 * :class:`~repro.faults.watchdog.RunAborted` and
   :class:`~repro.faults.watchdog.WallClockWatchdog` — executor-level
   guards that terminate wedged runs with partial-result capture instead

@@ -19,8 +19,8 @@ Determinism is load-bearing everywhere:
 * per-target streams are independent: inserting a new faulted link
   cannot shift another link's draw sequence;
 * fault events go through the simulation engine with integer-nanosecond
-  times, so they interleave with packet events identically on every
-  scheduler backend.
+  times, so they interleave with packet events in the engine's one
+  deterministic ``(time, seq)`` order.
 """
 
 from __future__ import annotations

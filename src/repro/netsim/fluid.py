@@ -30,7 +30,7 @@ The orchestration (segmented packet warmup, stability probing,
 promotion back to packet) lives in the experiment runner; everything
 here is pure, deterministic float arithmetic in a fixed order, so the
 hybrid backend inherits the packet engine's reproducibility: same seed,
-same scheduler-independent results.
+same results.
 
 The fidelity contract, and when *not* to use this: the fluid phase
 freezes each flow at its measured equilibrium (plus Cebinae's modelled

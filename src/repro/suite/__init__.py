@@ -8,7 +8,7 @@ dedicated parking-lot runner for multi-bottleneck topologies — with
 strict schema validation, stable fingerprints that feed the on-disk
 :class:`~repro.experiments.parallel.ResultCache`, and a
 golden-result conformance harness that pins every workload to
-byte-identical replay across scheduler backends and debug modes.
+byte-identical replay with debug checks off and on.
 
 Layers (imports flow downward only):
 

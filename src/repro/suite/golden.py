@@ -1,8 +1,8 @@
 """Golden-result conformance: digests, golden files, and the matrix.
 
 The determinism contract of this repo — fixed seed ⇒ byte-identical
-:class:`ScenarioResult` across scheduler backends, debug modes, and
-tracing on/off — is enforced here for *every* declarative workload:
+:class:`ScenarioResult` across debug modes and tracing on/off — is
+enforced here for *every* declarative workload:
 
 * :func:`result_digest` reduces one result to committed-friendly
   digests (SHA-256 of the canonical result JSON, the scalar JFI, and a
@@ -10,21 +10,20 @@ tracing on/off — is enforced here for *every* declarative workload:
 * a *golden file* (``tests/golden/<spec name>.json``) pins one suite
   spec's digests, stamped with the spec's own fingerprint so stale
   goldens are distinguishable from determinism breaks;
-* :func:`conformance_digests` replays a spec across the full
-  scheduler x debug matrix in-process and refuses to produce digests
-  at all if any cell disagrees — the regeneration path can therefore
-  never commit a backend-dependent golden.
+* :func:`conformance_digests` replays a spec across the debug matrix
+  (invariant checks off and on) in-process and refuses to produce
+  digests at all if the cells disagree — the regeneration path can
+  therefore never commit a debug-dependent golden.
 
 ``tests/test_golden_suite.py`` parametrises the same comparison per
-matrix cell, and the CI ``suite-smoke`` job replays it per scheduler
-through the CLI.
+matrix cell, and the CI ``suite-smoke`` job replays it with
+invariants armed through the CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (Any, Dict, Iterator, List, Optional, Sequence,
@@ -39,7 +38,6 @@ from .spec import CompiledRun, SuiteSpec
 GOLDEN_VERSION = 1
 
 #: The conformance matrix: every cell must produce identical bytes.
-SCHEDULER_BACKENDS = ("heap", "calendar")
 DEBUG_MODES = (False, True)
 
 #: Canonical JSON encoding shared by every digest in this module.
@@ -94,44 +92,32 @@ def run_compiled(runs: Sequence[CompiledRun],
 
 
 @contextmanager
-def forced_backend(scheduler: str, debug: bool) -> Iterator[None]:
-    """Pin the scheduler backend and debug gate for one replay.
+def forced_backend(debug: bool) -> Iterator[None]:
+    """Pin the debug gate for one replay.
 
-    ``REPRO_SCHEDULER`` is read at :class:`Simulator` construction and
-    the debug gate dynamically, so setting both around an in-process
-    run is exactly equivalent to exporting them for a fresh process.
+    The gate is read dynamically, so setting it around an in-process
+    run is exactly equivalent to exporting ``REPRO_DEBUG`` for a fresh
+    process.
     """
-    previous_env = os.environ.get("REPRO_SCHEDULER")
     previous_debug = invariants.set_debug(debug)
-    os.environ["REPRO_SCHEDULER"] = scheduler
     try:
         yield
     finally:
         invariants.set_debug(previous_debug)
-        if previous_env is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = previous_env
 
 
 def suite_digests(spec: SuiteSpec,
-                  scheduler: Optional[str] = None,
                   debug: Optional[bool] = None) -> Dict[str, Dict[str, Any]]:
     """Label → digest for one spec, one matrix cell, serial in-process.
 
-    ``scheduler``/``debug`` default to the ambient settings (whatever
-    ``REPRO_SCHEDULER``/the debug gate already say), which is what the
-    CI smoke job varies per matrix leg.
+    ``debug`` defaults to the ambient debug gate, which is what the CI
+    smoke job sets through ``REPRO_DEBUG``.
     """
     runs = spec.compile()
-    if scheduler is None and debug is None:
+    if debug is None:
         results = run_compiled(runs, workers=1, cache_dir=None)
     else:
-        ambient = os.environ.get("REPRO_SCHEDULER", "heap")
-        with forced_backend(scheduler if scheduler is not None
-                            else ambient,
-                            invariants.DEBUG if debug is None
-                            else debug):
+        with forced_backend(debug):
             results = run_compiled(runs, workers=1, cache_dir=None)
     digests = {}
     for run, result in zip(runs, results):
@@ -142,32 +128,29 @@ def suite_digests(spec: SuiteSpec,
 
 
 def conformance_digests(spec: SuiteSpec,
-                        schedulers: Sequence[str] = SCHEDULER_BACKENDS,
                         debug_modes: Sequence[bool] = DEBUG_MODES
                         ) -> Dict[str, Dict[str, Any]]:
-    """Digests agreed on by every (scheduler, debug) matrix cell.
+    """Digests agreed on by every debug matrix cell.
 
     Raises :class:`GoldenMismatch` if any cell disagrees with the
     first, naming the cell and the diverging labels — so golden
-    regeneration doubles as a cross-backend determinism check.
+    regeneration doubles as a debug-on/off determinism check.
     """
     reference: Optional[Dict[str, Dict[str, Any]]] = None
     reference_cell = ""
-    for scheduler in schedulers:
-        for debug in debug_modes:
-            digests = suite_digests(spec, scheduler=scheduler,
-                                    debug=debug)
-            cell = f"scheduler={scheduler} debug={debug}"
-            if reference is None:
-                reference, reference_cell = digests, cell
-                continue
-            if digests != reference:
-                diverged = sorted(
-                    label for label in reference
-                    if digests.get(label) != reference[label])
-                raise GoldenMismatch(
-                    f"suite spec {spec.name!r}: {cell} diverges from "
-                    f"{reference_cell} on {diverged}")
+    for debug in debug_modes:
+        digests = suite_digests(spec, debug=debug)
+        cell = f"debug={debug}"
+        if reference is None:
+            reference, reference_cell = digests, cell
+            continue
+        if digests != reference:
+            diverged = sorted(
+                label for label in reference
+                if digests.get(label) != reference[label])
+            raise GoldenMismatch(
+                f"suite spec {spec.name!r}: {cell} diverges from "
+                f"{reference_cell} on {diverged}")
     assert reference is not None
     return reference
 

@@ -98,13 +98,6 @@ class TestCancellation:
         event.cancel()
         sim.run()
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        first.cancel()
-        assert sim.peek_time_ns() == 20
-
 
 class TestRunSemantics:
     def test_run_until_executes_events_at_boundary(self):

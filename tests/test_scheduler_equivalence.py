@@ -1,151 +1,29 @@
-"""Order-equivalence harness for the scheduler backends.
+"""Single-engine regressions: push-back ordering and the debug gate.
 
-PR 3 made the pending-event set pluggable (binary heap vs calendar
-queue).  Deterministic replay only survives that if every backend
-executes the identical ``(time, seq)`` sequence — nondecreasing time,
-FIFO among ties, exact cancellation — under any workload.  Hypothesis
-drives both backends (plus adversarially tiny calendar configurations
-that force bucket wraparound and resizing) with the same program and
-compares the traces; scenario-level tests then pin down that scheduler
-choice and the ``REPRO_DEBUG`` gate never change a ``ScenarioResult``.
+``Simulator.run`` stops at ``until_ns`` and ``max_events`` by popping
+the next entry and pushing it back; a later schedule may then legally
+land *before* the pushed-back entry.  The pinned repros below keep that
+path ordered (the general property lives in
+``tests/test_engine_ordering.py``).  The rest pins down that the
+``REPRO_DEBUG`` gate validates when armed, costs nothing when released,
+and never changes a ``ScenarioResult``.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import invariants
 from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
-from repro.netsim.engine import (CalendarScheduler, HeapScheduler,
-                                 SCHEDULERS, SimulationError, Simulator,
-                                 make_scheduler)
-
-# Tight time range to force same-timestamp ties; tiny calendar
-# configurations to force year wraparound, the sparse-horizon fallback,
-# and grow/shrink rebuilds.
-EVENT_BATCH = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=50),   # time_ns
-              st.booleans(),                            # cancelled?
-              st.integers(min_value=0, max_value=3)),   # children
-    min_size=0, max_size=80)
-
-SCHEDULER_FACTORIES = [
-    ("heap", HeapScheduler),
-    ("calendar", CalendarScheduler),
-    ("calendar-tiny", lambda: CalendarScheduler(bucket_width_ns=3,
-                                                num_buckets=2)),
-    ("calendar-wide", lambda: CalendarScheduler(bucket_width_ns=10 ** 9,
-                                                num_buckets=4)),
-]
+from repro.netsim.engine import SimulationError, Simulator
 
 
-def _execute(batch, scheduler):
-    """Run one program, returning the (now_ns, tag) firing trace."""
-    sim = Simulator(scheduler=scheduler)
-    trace = []
-
-    def fire(tag, children, spacing):
-        trace.append((sim.now_ns, tag))
-        for child in range(children):
-            event = sim.schedule(spacing + child, fire,
-                                 (tag, child), 0, spacing)
-            if (child + spacing) % 3 == 0:  # Deterministic mid-run cancel.
-                event.cancel()
-
-    events = []
-    for tag, (time_ns, cancel, children) in enumerate(batch):
-        events.append(sim.schedule_at(time_ns, fire, tag, children,
-                                      time_ns % 5 + 1))
-        if cancel:
-            events[-1].cancel()
-    sim.run()
-    return trace
-
-
-@settings(deadline=None, max_examples=150)
-@given(EVENT_BATCH)
-def test_all_backends_execute_identical_sequences(batch):
-    reference = _execute(batch, HeapScheduler())
-    for name, factory in SCHEDULER_FACTORIES[1:]:
-        assert _execute(batch, factory()) == reference, name
-
-
-@settings(deadline=None, max_examples=100)
-@given(EVENT_BATCH)
-def test_calendar_matches_stable_sort_contract(batch):
-    """The calendar backend independently satisfies the time/FIFO order."""
-    sim = Simulator(scheduler=CalendarScheduler(bucket_width_ns=5,
-                                                num_buckets=3))
-    fired = []
-    events = []
-    for index, (time_ns, cancel, _children) in enumerate(batch):
-        events.append((sim.schedule_at(time_ns, fired.append, index),
-                       time_ns, cancel))
-    for event, _, cancel in events:
-        if cancel:
-            event.cancel()
-    sim.run()
-    live = [(time_ns, index)
-            for index, (_, time_ns, cancel) in enumerate(events)
-            if not cancel]
-    expected = [index for _, index in
-                sorted(live, key=lambda pair: pair[0])]
-    assert fired == expected
-
-
-@settings(deadline=None, max_examples=100)
-@given(EVENT_BATCH, st.integers(min_value=1, max_value=60))
-def test_backends_match_under_chunked_runs_and_peeks(batch, chunk_ns):
-    """Backends agree when scheduling interleaves with peeks/bounded runs.
-
-    ``peek_time_ns`` and the ``until_ns`` push-back in ``run`` pop the
-    next entry and re-push it; a later schedule may then legally land
-    *before* the pushed-back entry.  Regression for the calendar queue
-    executing such workloads out of order (clock rewind).
-    """
-    def run_chunked(factory):
-        sim = Simulator(scheduler=factory())
-        trace = []
-
-        def fire(tag):
-            trace.append((sim.now_ns, tag))
-
-        for chunk_start in range(0, len(batch), 5):
-            base = sim.now_ns
-            for tag, (time_ns, cancel, _children) in enumerate(
-                    batch[chunk_start:chunk_start + 5], chunk_start):
-                event = sim.schedule_at(base + time_ns, fire, tag)
-                if cancel:
-                    event.cancel()
-            sim.peek_time_ns()
-            sim.run(until_ns=base + chunk_ns)
-        sim.run()
-        return trace
-
-    reference = run_chunked(HeapScheduler)
-    for name, factory in SCHEDULER_FACTORIES[1:]:
-        assert run_chunked(factory) == reference, name
-
-
-@pytest.mark.parametrize("name,factory", SCHEDULER_FACTORIES)
 class TestScheduleAfterPushBack:
-    """Pinned repros for the calendar-queue scan-origin clamp."""
+    """Pinned repros: scheduling before a pushed-back entry."""
 
-    def test_schedule_after_peek(self, name, factory):
-        sim = Simulator(scheduler=factory())
-        fired = []
-        sim.schedule_at(640_000, fired.append, "late")
-        assert sim.peek_time_ns() == 640_000  # Pops and re-pushes.
-        sim.schedule_at(5_000, fired.append, "early")
-        sim.run()
-        assert fired == ["early", "late"]
-        assert sim.now_ns == 640_000
-
-    def test_schedule_between_bounded_runs(self, name, factory):
-        sim = Simulator(scheduler=factory())
+    def test_schedule_between_bounded_runs(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(640_000, fired.append, "late")
         # Pops the 640us event and pushes it back past the bound.
@@ -156,8 +34,8 @@ class TestScheduleAfterPushBack:
         assert fired == ["early", "late"]
         assert sim.now_ns == 640_000
 
-    def test_schedule_after_max_events_push_back(self, name, factory):
-        sim = Simulator(scheduler=factory())
+    def test_schedule_after_max_events_push_back(self):
+        sim = Simulator()
         fired = []
         sim.schedule_at(1_000, fired.append, "first")
         sim.schedule_at(640_000, fired.append, "late")
@@ -168,34 +46,7 @@ class TestScheduleAfterPushBack:
         assert fired == ["first", "early", "late"]
 
 
-class TestSchedulerSelection:
-    def test_registry_names(self):
-        assert set(SCHEDULERS) == {"heap", "calendar"}
-        assert isinstance(make_scheduler("heap"), HeapScheduler)
-        assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SimulationError, match="unknown scheduler"):
-            Simulator(scheduler="splay")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert isinstance(Simulator().scheduler, CalendarScheduler)
-        monkeypatch.delenv("REPRO_SCHEDULER")
-        assert isinstance(Simulator().scheduler, HeapScheduler)
-
-    def test_instance_passes_through(self):
-        backend = CalendarScheduler(bucket_width_ns=10, num_buckets=8)
-        assert Simulator(scheduler=backend).scheduler is backend
-
-    def test_calendar_rejects_degenerate_config(self):
-        with pytest.raises(ValueError):
-            CalendarScheduler(bucket_width_ns=0)
-        with pytest.raises(ValueError):
-            CalendarScheduler(num_buckets=0)
-
-
-# -- scenario-level parity: backends and debug gating --------------------------
+# -- scenario-level parity: debug gating ---------------------------------------
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -215,14 +66,6 @@ def _result_json(result):
 
 
 class TestScenarioParity:
-    def test_calendar_scheduler_reproduces_heap_run(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        heap_run = _tiny_result()
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        calendar_run = _tiny_result()
-        assert _result_json(calendar_run) == _result_json(heap_run)
-        assert calendar_run == heap_run
-
     def test_debug_on_off_reproduce_identically(self, monkeypatch):
         monkeypatch.setattr(invariants, "DEBUG", True)
         debug_run = _tiny_result()
@@ -230,16 +73,6 @@ class TestScenarioParity:
         release_run = _tiny_result()
         assert _result_json(release_run) == _result_json(debug_run)
         assert release_run == debug_run
-
-    def test_debug_off_calendar_matches_debug_on_heap(self, monkeypatch):
-        """The two knobs compose without perturbing results."""
-        monkeypatch.setattr(invariants, "DEBUG", True)
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        reference = _tiny_result()
-        monkeypatch.setattr(invariants, "DEBUG", False)
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        fast_path = _tiny_result()
-        assert _result_json(fast_path) == _result_json(reference)
 
 
 class TestDebugGate:
